@@ -1,7 +1,7 @@
 """Inject measured results into EXPERIMENTS.md.
 
 Replaces each ``<!-- MEASURED:<name> -->`` marker with a markdown table
-rendered from ``results/<name>.json`` (as produced by the per-table jobs).
+rendered from ``results/<name>.json`` (as written by ``jobs/run.py``).
 Idempotent: a marker line is kept in place and the generated block between
 ``<!-- BEGIN:<name> -->`` / ``<!-- END:<name> -->`` is rewritten.
 """
@@ -14,43 +14,17 @@ HERE = os.path.dirname(__file__)
 RESULTS = os.path.join(HERE, "..", "results")
 EXPERIMENTS = os.path.join(HERE, "..", "EXPERIMENTS.md")
 
+sys.path.insert(0, os.path.join(HERE, "..", "src"))
 
-def _fmt_cell(m: dict) -> str:
-    v = f"{m['avg_ms_per_update']:.3f}"
-    if m.get("timed_out"):
-        v += f"\\* @{m['processed']}"
-    return v
+from repro.bench.sweeps import render  # noqa: E402
 
 
-def render(name: str) -> str:
+def render_file(name: str) -> str:
     path = os.path.join(RESULTS, f"{name}.json")
     if not os.path.exists(path):
-        return "_results missing — run the corresponding job_"
+        return f"_results missing — run `python jobs/run.py {name}`_"
     with open(path) as f:
-        data = json.load(f)
-    if name == "table1_memory":
-        algos = list(data["algorithms"])
-        dss = list(next(iter(data["algorithms"].values())))
-        lines = ["| algorithm | " + " | ".join(dss) + " |",
-                 "|---|" + "---|" * len(dss)]
-        for a in algos:
-            cells = [f"{data['algorithms'][a][ds] / (1 << 20):.1f} MiB" for ds in dss]
-            lines.append(f"| {a} | " + " | ".join(cells) + " |")
-        return "\n".join(lines)
-    if name == "table_indexing":
-        algos = list(data["batches"][0])
-        lines = ["| batch | " + " | ".join(algos) + " |",
-                 "|---|" + "---|" * len(algos)]
-        for i, b in enumerate(data["batches"]):
-            cells = [f"{b[a] * 1000:.1f}" for a in algos]
-            lines.append(f"| {(i + 1) * 100} | " + " | ".join(cells) + " |")
-        return "\n".join(lines) + "\n\n(ms per batch of 100 queries)"
-    algos = list(data["configs"][0]["results"])
-    lines = ["| | " + " | ".join(algos) + " |", "|---|" + "---|" * len(algos)]
-    for cfg in data["configs"]:
-        cells = [_fmt_cell(cfg["results"][a]) for a in algos]
-        lines.append(f"| {cfg['label']} | " + " | ".join(cells) + " |")
-    return "\n".join(lines) + "\n\n(ms/update; \\* = hit threshold after N updates)"
+        return render(json.load(f))
 
 
 def main() -> None:
@@ -58,7 +32,7 @@ def main() -> None:
         text = f.read()
     names = re.findall(r"<!-- MEASURED:(\w+) -->", text)
     for n in names:
-        block = f"<!-- MEASURED:{n} -->\n<!-- BEGIN:{n} -->\n{render(n)}\n<!-- END:{n} -->"
+        block = f"<!-- MEASURED:{n} -->\n<!-- BEGIN:{n} -->\n{render_file(n)}\n<!-- END:{n} -->"
         text = re.sub(
             rf"<!-- MEASURED:{n} -->(?:\n<!-- BEGIN:{n} -->.*?<!-- END:{n} -->)?",
             block.replace("\\", "\\\\"),

@@ -1,5 +1,6 @@
 """Benchmark harness: workload builders, per-algorithm sweep runner, memory
-measurement (Table 1), and the paper-style table printer."""
+measurement (Table 1), and the paper-style table printer; ``sweeps`` holds
+``SWEEPS``, the declarative index of the paper's evaluation artifacts."""
 
 from repro.bench.harness import (  # noqa: F401
     build_workload,

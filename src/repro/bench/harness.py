@@ -1,10 +1,9 @@
-"""Shared harness for the per-table jobs and pytest benchmarks.
-
-Each evaluation artifact of the paper maps to one job in ``jobs/`` (prints
-the same rows the paper reports: x-value × algorithm → answering time per
-update in ms, with "timeout at |G_E| = X" markers) and one pytest-benchmark
-module in ``benchmarks/``.  Results are also dumped as JSON under
-``results/`` so EXPERIMENTS.md can diff paper vs measured.
+"""Shared harness of ``repro.bench.sweeps`` (``jobs/run.py``) and the
+pytest benchmarks: workload builder, per-algorithm runner, memory
+measurement, and the paper-style table printer.  Each evaluation artifact is
+one ``SWEEPS`` entry; its rows (x-value × algorithm → answering time per
+update in ms, with "timeout at |G_E| = X" markers) are also dumped as JSON
+under ``results/`` so EXPERIMENTS.md can diff paper vs measured.
 """
 from __future__ import annotations
 

@@ -19,8 +19,18 @@ from typing import Iterator
 import pandas as pd
 from pyspark.sql import DataFrame
 
-from repro.engine.base import make_engine
+from repro.engine.base import Engine, make_engine
 from repro.graph.model import QueryPattern, Triple
+
+
+def feed(engine: Engine, pdf: pd.DataFrame) -> list[tuple[int, int]]:
+    """Process the ``(t, s, p, o)`` rows of ``pdf`` in order; returns the
+    ``(t, qid)`` match events."""
+    events = []
+    for t, s, p, o in zip(pdf["t"], pdf["s"], pdf["p"], pdf["o"]):
+        for qid in engine.process_update(Triple(str(s), str(p), str(o))):
+            events.append((int(t), qid))
+    return events
 
 
 def match_updates(
@@ -35,13 +45,7 @@ def match_updates(
         for q in queries:
             engine.add_query(q)
         for pdf in batches:
-            ts, qids = [], []
-            for t, s, p, o in zip(pdf["t"], pdf["s"], pdf["p"], pdf["o"]):
-                for qid in engine.process_update(Triple(str(s), str(p), str(o))):
-                    ts.append(int(t))
-                    qids.append(qid)
-            yield pd.DataFrame({"t": pd.Series(ts, dtype="int64"),
-                                "qid": pd.Series(qids, dtype="int64")})
+            yield pd.DataFrame(feed(engine, pdf), columns=["t", "qid"], dtype="int64")
 
     ordered = updates.coalesce(1).sortWithinPartitions("t")
     return ordered.mapInPandas(run, schema="t long, qid long")

@@ -4,9 +4,9 @@ Demonstrates the paper's setting on a real streaming runtime: the update
 stream is replayed through a file source one file per micro-batch;
 ``foreachBatch`` feeds each micro-batch (sorted by ``t``) into a single
 shared engine held on the driver — the shared-state multi-query matching
-operator.  Because updates are additions only, the final matched set is
-independent of batch boundaries (monotone), which the integration test
-asserts against an offline run.
+operator.  Because the engine's state spans micro-batches and each batch is
+fed in ``t`` order, the ``(t, qid)`` event stream is independent of batch
+boundaries, which the integration test asserts against an offline run.
 """
 from __future__ import annotations
 
@@ -17,7 +17,7 @@ import pandas as pd
 from pyspark.sql import SparkSession
 
 from repro.engine.base import Engine
-from repro.graph.model import Triple
+from repro.spark_ops.matcher import feed
 
 
 def run_structured_stream(
@@ -44,10 +44,7 @@ def run_structured_stream(
     events: list[tuple[int, int]] = []
 
     def on_batch(batch_df, batch_id: int) -> None:
-        pdf = batch_df.toPandas().sort_values("t")
-        for t, s, p, o in zip(pdf["t"], pdf["s"], pdf["p"], pdf["o"]):
-            for qid in engine.process_update(Triple(str(s), str(p), str(o))):
-                events.append((int(t), qid))
+        events.extend(feed(engine, batch_df.toPandas().sort_values("t")))
 
     stream = (
         spark.readStream.schema("t long, s string, p string, o string")

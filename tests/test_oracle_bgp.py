@@ -95,41 +95,37 @@ class TestHandwrittenPatterns:
         assert_equivalent(spark_bgp_match(df, q), bgp_to_sql(q), g=pdf)
 
 
-class TestProvidedTpchOracle:
-    """Smoke tests that the provided DuckDB bridge itself behaves, using the
-    stock TPC-H-lite generators."""
+class TestProvidedOracleOnTriples:
+    """Smoke tests that the provided DuckDB bridge itself behaves, on the
+    triples table: a float aggregate (exercises the oracle's rounding) and
+    a join."""
 
-    def test_lineitem_aggregate(self, spark):
+    def test_triples_aggregate(self, snb):
         from pyspark.sql import functions as F
 
-        from repro.synth_data import lineitem
-
-        li = lineitem(spark, sf=0.001)
-        got = li.groupBy("l_returnflag").agg(
-            F.count("*").alias("cnt"), F.round(F.sum("l_quantity"), 2).alias("qty")
+        updates, _, triples_df = snb
+        got = triples_df.groupBy("p").agg(
+            F.count("*").alias("cnt"), F.avg("t").alias("avg_t")
         )
         assert_equivalent(
             got,
-            "SELECT l_returnflag, count(*) AS cnt, round(sum(l_quantity), 2) AS qty "
-            "FROM li GROUP BY l_returnflag",
-            li=li,
+            "SELECT p, count(*) AS cnt, avg(t) AS avg_t FROM g GROUP BY p",
+            g=stream_to_pandas(updates),
         )
 
-    def test_orders_join(self, spark):
+    def test_triples_join(self, snb):
         from pyspark.sql import functions as F
 
-        from repro.synth_data import lineitem, orders
-
-        li, o = lineitem(spark, sf=0.001), orders(spark, sf=0.001)
+        updates, _, triples_df = snb
+        a, b = triples_df.alias("a"), triples_df.alias("b")
         got = (
-            li.join(o, li.l_orderkey == o.o_orderkey)
-            .groupBy("o_orderstatus")
+            a.join(b, F.col("a.o") == F.col("b.s"))
+            .groupBy(F.col("a.p").alias("p1"), F.col("b.p").alias("p2"))
             .agg(F.count("*").alias("cnt"))
         )
         assert_equivalent(
             got,
-            "SELECT o_orderstatus, count(*) AS cnt FROM li JOIN o "
-            "ON l_orderkey = o_orderkey GROUP BY o_orderstatus",
-            li=li,
-            o=o,
+            "SELECT a.p AS p1, b.p AS p2, count(*) AS cnt FROM g a JOIN g b "
+            "ON a.o = b.s GROUP BY a.p, b.p",
+            g=stream_to_pandas(updates),
         )

@@ -59,8 +59,9 @@ class TestStructuredStreaming:
         events = run_structured_stream(
             spark, stream_to_pandas(updates), engine, str(tmp_path), n_files=3
         )
-        # batch boundaries don't change the final matched set (monotone)
-        assert {q for _, q in events} == offline.matched
+        # the engine's state spans micro-batches, so batch boundaries
+        # change neither the matched set nor the per-update events
+        assert sorted(events) == sorted(offline.events)
 
     def test_single_batch_equals_event_stream(self, spark, workload, offline, tmp_path):
         updates, queries = workload
