@@ -2,11 +2,11 @@
 
 ``python jobs/run.py <artifact...|all>``, where each artifact is a key of
 ``repro.bench.sweeps.SWEEPS``.  Each one sweeps the paper's x-axis at the
-scaled-down workload, prints the rows the paper reports (x-value ×
+scaled-down workload and writes ``results/<artifact>.json`` (x-value ×
 algorithm → answering time per update in ms, with "timeout at |G_E|=X"
-markers; Fig. 15 and Table 1 print indexing time and memory) and writes
-``results/<artifact>.json``, which ``jobs/fill_experiments.py`` renders
-into EXPERIMENTS.md.  Also runnable via ``spark-submit``.
+markers; Fig. 15 and Table 1 hold indexing time and memory).  It prints
+that file as the markdown table ``jobs/fill_experiments.py`` puts into
+EXPERIMENTS.md.  Also runnable via ``spark-submit``.
 """
 from __future__ import annotations
 

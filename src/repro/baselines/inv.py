@@ -18,44 +18,28 @@ queries — shared paths across queries are processed once *per query*.
 """
 from __future__ import annotations
 
-from repro.engine.assembler import AssemblyOverflow, QueryAssembler
-from repro.engine.base import Engine, EngineOverflow
-from repro.graph.covering import CoverPath, covering_paths
-from repro.graph.model import EdgeSig, QueryPattern, Triple, update_sigs
-from repro.relational.relation import Row, View, hash_join
+from repro.engine.base import EngineOverflow
+from repro.engine.paths import PathEngine, append_object, prepend_subject
+from repro.graph.covering import CoverPath
+from repro.graph.model import EdgeSig, QueryPattern, Triple
+from repro.relational.relation import Row, hash_join
 
 
-class _InvertedBase(Engine):
+class _InvertedBase(PathEngine):
     """Shared indexing phase of INV and INC (§5.1 Steps 1–2)."""
 
-    def __init__(self, cached: bool, max_rows: int = 2_000_000):
-        self.cached = cached
-        self.max_rows = max_rows
-        #: matV[e_i] per signature, shared across queries
-        self.base: dict[EdgeSig, View] = {}
+    def __init__(self, cached: bool = False, max_rows: int = 2_000_000):
+        super().__init__(cached, max_rows)
         #: edgeInd: signature -> query ids
         self.edge_ind: dict[EdgeSig, set[int]] = {}
         #: queryInd: qid -> (pattern, covering paths, per-path sig chains)
         self.query_ind: dict[int, tuple[QueryPattern, list[CoverPath], list[tuple[EdgeSig, ...]]]] = {}
-        self.assemblers: dict[int, QueryAssembler] = {}
-        self.n_queries = 0
 
-    def add_query(self, q: QueryPattern) -> None:
-        q.validate()
-        paths = covering_paths(q)
-        chains = [p.sig_chain(q) for p in paths]
+    def _index(self, q, paths, chains) -> None:
         self.query_ind[q.qid] = (q, paths, chains)
         for chain in chains:
             for sig in chain:
                 self.edge_ind.setdefault(sig, set()).add(q.qid)
-                if sig not in self.base:
-                    self.base[sig] = View(arity=2, cached=self.cached)
-        self.assemblers[q.qid] = QueryAssembler(q, paths, self.cached, self.max_rows)
-        self.n_queries += 1
-
-    # -- answering helpers ---------------------------------------------
-    def _matching_sigs(self, u: Triple) -> list[EdgeSig]:
-        return [s for s in update_sigs(u) if s in self.base]
 
     def _affected_queries(self, sigs: list[EdgeSig]) -> list[int]:
         qids: set[int] = set()
@@ -63,122 +47,76 @@ class _InvertedBase(Engine):
             qids.update(self.edge_ind.get(s, ()))
         return sorted(qids)
 
-    def _all_views_nonempty(self, qid: int) -> bool:
-        """Step 1 check: every edge of the query has a non-empty matV."""
-        _, _, chains = self.query_ind[qid]
-        return all(len(self.base[s]) for chain in chains for s in chain)
-
-    def _guard(self, rows: list[Row], qid: int) -> list[Row]:
-        if len(rows) > self.max_rows:
-            raise EngineOverflow(
-                f"{self.name}: Q{qid} path materialization exceeded {self.max_rows} rows"
-            )
+    def _extend(
+        self, qid: int, chain: tuple[EdgeSig, ...], rows: list[Row], lo: int, hi: int
+    ) -> list[Row]:
+        """Extend ``rows``, matches of the sub-path ``chain[lo:hi]``, left
+        then right through the base views to matches of the whole path."""
+        # leftward the first slot joins base.o; rightward the last slot
+        # (slot i, once rows start at slot 0) joins base.s
+        steps = [(i, 0, 1, prepend_subject) for i in range(lo - 1, -1, -1)]
+        steps += [(i, i, 0, append_object) for i in range(hi, len(chain))]
+        for i, probe_col, build_col, emit in steps:
+            rows = hash_join(rows, (probe_col,), self.base[chain[i]], (build_col,), emit)
+            if not rows:
+                return []
+            if len(rows) > self.max_rows:
+                raise EngineOverflow(
+                    f"{self.name}: Q{qid} path materialization exceeded {self.max_rows} rows"
+                )
         return rows
 
 
 class InvEngine(_InvertedBase):
     """Algorithm INV (``cached=False``) / INV+ (``cached=True``)."""
 
-    def __init__(self, cached: bool = False, max_rows: int = 2_000_000):
-        super().__init__(cached, max_rows)
-        self.name = "inv+" if cached else "inv"
+    family = "inv"
 
     def process_update(self, u: Triple) -> list[int]:
-        sigs = self._matching_sigs(u)
-        if not sigs:
-            return []
-        row: Row = (u.s, u.o)
-        for sig in sigs:
-            self.base[sig].add(row)
-
+        sigs, _ = self._insert(u)
         out: list[int] = []
-        try:
-            for qid in self._affected_queries(sigs):
-                if not self._all_views_nonempty(qid):
-                    continue
-                _, _, chains = self.query_ind[qid]
-                asm = self.assemblers[qid]
-                for pidx, chain in enumerate(chains):
-                    rows = self._full_path_rows(chain, qid)
-                    asm.on_path_delta(pidx, rows)
-                if asm.finish_update():
-                    out.append(qid)
-                # INV's final join is always computed in full over all paths
-                # (§5.1 Step 3) — no delta shortcut, unlike TRIC.
-                asm.full_join_rows()
-        except AssemblyOverflow as e:
-            raise EngineOverflow(str(e)) from e
+        for qid in self._affected_queries(sigs):
+            _, _, chains = self.query_ind[qid]
+            # Step 1 check: every edge of the query has a non-empty matV
+            if not all(len(self.base[s]) for chain in chains for s in chain):
+                continue
+            asm = self.assemblers[qid]
+            for pidx, chain in enumerate(chains):
+                # full left-to-right materialization from the base views,
+                # recomputed from scratch on every update (INV's cost)
+                asm.on_path_delta(pidx, self._extend(qid, chain, self.base[chain[0]].rows, 0, 1))
+            if asm.finish_update():
+                out.append(qid)
+            # INV's final join is always computed in full over all paths
+            # (§5.1 Step 3) — no delta shortcut, unlike TRIC.
+            asm.full_join_rows()
         return out
-
-    def _full_path_rows(self, chain: tuple[EdgeSig, ...], qid: int) -> list[Row]:
-        """Full left-to-right materialization of one covering path from the
-        base views — recomputed from scratch on every update (INV's cost)."""
-        rows: list[Row] = list(self.base[chain[0]].rows)
-        for i, sig in enumerate(chain[1:], start=1):
-            rows = hash_join(
-                rows, (i,), self.base[sig], (0,), lambda pr, br: pr + (br[1],)
-            )
-            if not rows:
-                return []
-            self._guard(rows, qid)
-        return rows
 
 
 class IncEngine(_InvertedBase):
     """Algorithm INC (``cached=False``) / INC+ (``cached=True``)."""
 
-    def __init__(self, cached: bool = False, max_rows: int = 2_000_000):
-        super().__init__(cached, max_rows)
-        self.name = "inc+" if cached else "inc"
+    family = "inc"
 
     def process_update(self, u: Triple) -> list[int]:
-        sigs = self._matching_sigs(u)
-        if not sigs:
-            return []
-        row: Row = (u.s, u.o)
-        for sig in sigs:
-            self.base[sig].add(row)
+        sigs, row = self._insert(u)
         sig_set = set(sigs)
-
         out: list[int] = []
-        try:
-            for qid in self._affected_queries(sigs):
-                _, _, chains = self.query_ind[qid]
-                asm = self.assemblers[qid]
-                touched = False
-                for pidx, chain in enumerate(chains):
-                    for k, sig in enumerate(chain):
-                        if sig in sig_set:
-                            delta = self._extend(chain, k, row, qid)
-                            if delta:
-                                asm.on_path_delta(pidx, delta)
-                                touched = True
-                if touched and asm.finish_update():
-                    out.append(qid)
-                # INC differs from INV only inside the *path* joins (§5.2);
-                # the final join across paths is still computed in full.
-                asm.full_join_rows()
-        except AssemblyOverflow as e:
-            raise EngineOverflow(str(e)) from e
+        for qid in self._affected_queries(sigs):
+            _, _, chains = self.query_ind[qid]
+            asm = self.assemblers[qid]
+            touched = False
+            for pidx, chain in enumerate(chains):
+                for k, sig in enumerate(chain):
+                    if sig in sig_set:
+                        # INC's incremental join: extend only the update
+                        delta = self._extend(qid, chain, [row], k, k + 1)
+                        if delta:
+                            asm.on_path_delta(pidx, delta)
+                            touched = True
+            if touched and asm.finish_update():
+                out.append(qid)
+            # INC differs from INV only inside the *path* joins (§5.2);
+            # the final join across paths is still computed in full.
+            asm.full_join_rows()
         return out
-
-    def _extend(self, chain: tuple[EdgeSig, ...], k: int, u_row: Row, qid: int) -> list[Row]:
-        """Extend the update tuple (at position ``k``) left and right along
-        the path through the base views — INC's incremental join."""
-        rows: list[Row] = [u_row]  # covers slots k, k+1
-        for i in range(k - 1, -1, -1):  # leftward: base.o == first slot
-            rows = hash_join(
-                rows, (0,), self.base[chain[i]], (1,), lambda pr, br: (br[0],) + pr
-            )
-            if not rows:
-                return []
-            self._guard(rows, qid)
-        for i in range(k + 1, len(chain)):  # rightward: last slot == base.s
-            last = i  # rows currently span slots 0..i
-            rows = hash_join(
-                rows, (last,), self.base[chain[i]], (0,), lambda pr, br: pr + (br[1],)
-            )
-            if not rows:
-                return []
-            self._guard(rows, qid)
-        return rows

@@ -1,9 +1,9 @@
 """Shared harness of ``repro.bench.sweeps`` (``jobs/run.py``) and the
 pytest benchmarks: workload builder, per-algorithm runner, memory
-measurement, and the paper-style table printer.  Each evaluation artifact is
-one ``SWEEPS`` entry; its rows (x-value × algorithm → answering time per
-update in ms, with "timeout at |G_E| = X" markers) are also dumped as JSON
-under ``results/`` so EXPERIMENTS.md can diff paper vs measured.
+measurement, and the results writer.  Each evaluation artifact is one
+``SWEEPS`` entry; its rows (x-value × algorithm → answering time per update
+in ms, with "timeout at |G_E| = X" markers) are dumped as JSON under
+``results/`` so EXPERIMENTS.md can diff paper vs measured.
 """
 from __future__ import annotations
 
@@ -17,11 +17,6 @@ from repro.engine.runner import RunResult, index_queries, run_stream
 from repro.graph.model import QueryPattern, Triple
 from repro.streams.datasets import DATASETS
 from repro.streams.querygen import generate_queries
-
-#: scaled-down defaults standing in for the paper's baseline workload
-#: (|Q_DB|=5K, ℓ=5, σ=25 %, o=35 %, |G_E|=100K — see DESIGN.md §5)
-DEFAULTS = dict(n_updates=3000, n_queries=300, avg_len=5, selectivity=0.25, overlap=0.35)
-
 
 #: default variable-lifting probability per dataset.  NYC/BioGRID queries
 #: are more literal-anchored (concrete zones / proteins, as in the paper's
@@ -105,24 +100,6 @@ def measure_memory(
         del engine
         tracemalloc.stop()
     return current
-
-
-def fmt_table(title: str, rows: list[dict], columns: list[str]) -> str:
-    """Fixed-width text table in the style of the paper's reported rows."""
-    widths = {c: max(len(c), *(len(str(r.get(c, ""))) for r in rows)) for c in columns}
-    lines = [title, "-" * len(title)]
-    lines.append("  ".join(c.ljust(widths[c]) for c in columns))
-    for r in rows:
-        lines.append("  ".join(str(r.get(c, "")).ljust(widths[c]) for c in columns))
-    return "\n".join(lines)
-
-
-def cell(m: dict, digits: int = 3) -> str:
-    """One result cell: avg ms/update, with the paper's timeout asterisk."""
-    v = f"{m['avg_ms_per_update']:.{digits}f}"
-    if m["timed_out"]:
-        v += f"* (timeout at |G_E|={m['processed']})"
-    return v
 
 
 def save_results(payload: dict, path: str) -> None:

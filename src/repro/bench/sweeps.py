@@ -1,9 +1,9 @@
 """Declarative index of the paper's evaluation artifacts (DESIGN.md §6).
 
 ``SWEEPS`` maps each artifact's ``results/<name>.json`` / EXPERIMENTS.md
-marker name to one :class:`Sweep`.  :func:`run` regenerates an artifact
-(printed paper-style rows plus the results JSON), :func:`render` turns that
-JSON into the EXPERIMENTS.md table, and ``benchmarks/bench_sweeps.py`` runs
+marker name to one :class:`Sweep`.  :func:`run` regenerates an artifact's
+results JSON, :func:`render` turns that JSON into the EXPERIMENTS.md table
+(which :func:`run` also prints), and ``benchmarks/bench_sweeps.py`` runs
 each sweep's representative ``bench`` points under pytest-benchmark.
 """
 from __future__ import annotations
@@ -11,14 +11,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 
-from repro.bench.harness import (
-    build_workload,
-    cell,
-    fmt_table,
-    measure_memory,
-    run_algorithms,
-    save_results,
-)
+from repro.bench.harness import build_workload, measure_memory, run_algorithms, save_results
 from repro.engine.base import ALGORITHMS, make_engine
 from repro.engine.runner import index_queries, run_stream
 
@@ -133,8 +126,8 @@ def run(
     time_limit_s: float = 30.0,
     verify: bool = False,
 ) -> dict:
-    """Regenerate artifact ``name``: print its rows and write
-    ``<out_dir>/<name>.json``.  ``verify`` checks each answering workload
+    """Regenerate artifact ``name``: write ``<out_dir>/<name>.json`` and
+    print its rendered table.  ``verify`` checks each answering workload
     against the Catalyst ground truth (needs Spark)."""
     sw = SWEEPS[name]
     if sw.kind == ANSWERING:
@@ -142,11 +135,12 @@ def run(
     else:
         payload = (_indexing if sw.kind == INDEXING else _memory)(sw, scale, seed)
     save_results(payload, os.path.join(out_dir, f"{name}.json"))
+    print(f"\n{payload['title']}\n\n{render(payload)}")
     return payload
 
 
 def _answering(sw: Sweep, scale: float, seed: int, time_limit_s: float, verify: bool) -> dict:
-    rows, configs = [], []
+    configs = []
     for v in sw.values:
         kw = _workload({**sw.base, sw.knob: v}, scale, seed)
         updates, queries = build_workload(**kw)
@@ -154,11 +148,8 @@ def _answering(sw: Sweep, scale: float, seed: int, time_limit_s: float, verify: 
             verify_sample(updates, queries)
         res = run_algorithms(updates, queries, ALGORITHMS, time_limit_s=time_limit_s)
         label = sw.label.format(v)
-        rows.append({"x": label, **{a: cell(m) for a, m in res.items()}})
         configs.append({"label": label, "workload": kw, "results": res})
         print(f"[done] {label}")
-    print()
-    print(fmt_table(sw.title, rows, ["x", *ALGORITHMS]))
     return {"title": sw.title, "configs": configs}
 
 
@@ -167,14 +158,10 @@ def _indexing(sw: Sweep, scale: float, seed: int) -> dict:
     kw = _workload(sw.base, scale, seed)
     _, queries = build_workload(**kw, **{sw.knob: batch * len(sw.values)})
     engines = {name: make_engine(name) for name in ALGORITHMS}
-    rows, batches = [], []
+    batches = []
     for b in range(len(sw.values)):
         chunk = queries[b * batch : (b + 1) * batch]
-        secs = {name: index_queries(e, chunk) for name, e in engines.items()}
-        ms = {a: f"{s * 1000:.1f}" for a, s in secs.items()}
-        rows.append({"x": sw.label.format((b + 1) * batch), **ms})
-        batches.append(secs)
-    print(fmt_table(f"{sw.title} (ms) per batch of {batch} queries", rows, ["x", *ALGORITHMS]))
+        batches.append({name: index_queries(e, chunk) for name, e in engines.items()})
     return {"title": sw.title, "batch": batch, "batches": batches}
 
 
@@ -183,16 +170,12 @@ def _memory(sw: Sweep, scale: float, seed: int) -> dict:
         sw.label.format(v): build_workload(**_workload({**sw.base, sw.knob: v}, scale, seed))
         for v in sw.values
     }
-    rows, algorithms = [], {}
-    for name in ALGORITHMS:
-        rec = {x: measure_memory(name, *w) for x, w in workloads.items()}
-        rows.append({"algorithm": name, **{x: f"{b / MIB:.1f}MiB" for x, b in rec.items()}})
-        algorithms[name] = rec
-        print(f"[done] {name}")
     base = _workload(sw.base, scale, seed)
-    title = f"{sw.title}, Q={base['n_queries']}, |G_E|={base['n_updates']} (tracemalloc)"
-    print()
-    print(fmt_table(title, rows, ["algorithm", *workloads]))
+    print(f"Q={base['n_queries']}, |G_E|={base['n_updates']} (tracemalloc)")
+    algorithms = {}
+    for name in ALGORITHMS:
+        algorithms[name] = {x: measure_memory(name, *w) for x, w in workloads.items()}
+        print(f"[done] {name}")
     return {"title": sw.title, "algorithms": algorithms}
 
 
@@ -218,8 +201,11 @@ def verify_sample(updates, queries, n_sample: int = 10) -> None:
 
 
 def _md_table(head: list[str], rows: list[list[str]]) -> str:
+    """GitHub markdown table; ``|`` inside a cell (``|G_E|=2000``) is
+    escaped so it does not split the cell."""
+
     def line(cells):
-        return "|" + "|".join(f" {c} " if c else " " for c in cells) + "|"
+        return "|" + "|".join(" " + c.replace("|", r"\|") + " " if c else " " for c in cells) + "|"
 
     return "\n".join([line(head), "|---|" + "---|" * (len(head) - 1), *map(line, rows)])
 

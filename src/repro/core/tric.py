@@ -19,61 +19,36 @@ structures (indexes) incrementally instead of rebuilding them per join.
 """
 from __future__ import annotations
 
-from repro.engine.assembler import AssemblyOverflow, QueryAssembler
-from repro.engine.base import Engine, EngineOverflow
 from repro.core.trie import TrieForest, TrieNode
-from repro.graph.covering import covering_paths
-from repro.graph.model import EdgeSig, QueryPattern, Triple, update_sigs
-from repro.relational.relation import COUNTERS, Row, View, hash_join
+from repro.engine.paths import PathEngine, append_object
+from repro.graph.model import EdgeSig, Triple
+from repro.relational.relation import Row, hash_join
 
 
-class TricEngine(Engine):
+class TricEngine(PathEngine):
     """Algorithm TRIC (``cached=False``) / TRIC+ (``cached=True``)."""
 
+    family = "tric"
+
     def __init__(self, cached: bool = False, max_rows: int = 2_000_000):
-        self.cached = cached
-        self.name = "tric+" if cached else "tric"
-        self.max_rows = max_rows
+        super().__init__(cached, max_rows)
         self.forest = TrieForest(cached)
-        #: base materialized view per edge signature (matV[e_i], §4.1)
-        self.base: dict[EdgeSig, View] = {}
-        self.assemblers: dict[int, QueryAssembler] = {}
-        self.n_queries = 0
 
     # -- indexing phase -------------------------------------------------
-    def add_query(self, q: QueryPattern) -> None:
-        q.validate()
-        paths = covering_paths(q)
+    def _index(self, q, paths, chains) -> None:
         for pidx, p in enumerate(paths):
             self.forest.insert_path(q, pidx, p)
-            for sig in p.sig_chain(q):
-                if sig not in self.base:
-                    self.base[sig] = View(arity=2, cached=self.cached)
-        self.assemblers[q.qid] = QueryAssembler(q, paths, self.cached, self.max_rows)
-        self.n_queries += 1
 
     # -- answering phase ------------------------------------------------
     def process_update(self, u: Triple) -> list[int]:
-        sigs = [s for s in update_sigs(u) if s in self.base]
-        if not sigs:
-            return []
-        row: Row = (u.s, u.o)
-        # update base views first: trie deltas join against base *including* u
-        for sig in sigs:
-            self.base[sig].add(row)
+        # base views first: trie deltas join against base *including* u
+        sigs, row = self._insert(u)
         sig_set = set(sigs)
-
         affected: set[int] = set()
-        try:
-            for root in self.forest.affected_roots(sigs):
-                root_delta: list[Row] = []
-                if root.sig in sig_set:
-                    root_delta = root.matv.add_all([row])
-                self._descend(root, root_delta, sig_set, affected, row)
-            out = [qid for qid in sorted(affected) if self.assemblers[qid].finish_update()]
-        except AssemblyOverflow as e:
-            raise EngineOverflow(str(e)) from e
-        return out
+        for root in self.forest.affected_roots(sigs):
+            root_delta = root.matv.add_all([row]) if root.sig in sig_set else []
+            self._descend(root, root_delta, sig_set, affected, row)
+        return [qid for qid in sorted(affected) if self.assemblers[qid].finish_update()]
 
     def _descend(
         self,
@@ -87,44 +62,21 @@ class TricEngine(Engine):
             for qid, pidx in node.registered:
                 self.assemblers[qid].on_path_delta(pidx, delta)
                 affected.add(qid)
+        last = node.depth + 1
+        u_s, u_o = u_row
         for child in node.children.values():
+            below = not sig_set.isdisjoint(child.subtree_sigs)
             # pruning: nothing below can change
-            if not delta and not (sig_set & child.subtree_sigs):
+            if not delta and not below:
                 continue
-            child_rows: list[Row] = []
+            rows = []
             if delta:
-                last = node.depth + 1
-                child_rows.extend(
-                    hash_join(
-                        delta,
-                        (last,),
-                        self.base[child.sig],
-                        (0,),
-                        lambda pr, br: pr + (br[1],),
-                    )
-                )
+                rows = hash_join(delta, (last,), self.base[child.sig], (0,), append_object)
             if child.sig in sig_set:
-                # old(parent) ⋈ {u}: parent rows (minus this update's delta)
-                # whose last slot equals u's source
-                u_s, u_o = u_row
-                old_stop = len(node.matv.rows) - len(delta)
-                last = node.depth + 1
-                idx = node.matv.index((last,)) if self.cached else None
-                if idx is not None:
-                    COUNTERS["probe_rows"] += 1
-                    dset = set(delta)
-                    for pr in idx.get((u_s,)):
-                        if pr not in dset:
-                            child_rows.append(pr + (u_o,))
-                else:
-                    # uncached: the build phase scans the whole parent view
-                    # on every call (§4.2 Caching — this is what TRIC+ saves)
-                    COUNTERS["build_rows"] += old_stop
-                    rows = node.matv.rows
-                    for i in range(old_stop):
-                        pr = rows[i]
-                        if pr[last] == u_s:
-                            child_rows.append(pr + (u_o,))
-            child_delta = child.matv.add_all(child_rows) if child_rows else []
-            if child_delta or (sig_set & child.subtree_sigs):
+                # old(parent) ⋈ {u}: parent rows whose last slot is u's
+                # source.  Those from Δ(parent) are already in ``rows``
+                # (base holds u), so the child view drops them as repeats.
+                rows += [pr + (u_o,) for pr in node.matv.select(last, u_s)]
+            child_delta = child.matv.add_all(rows) if rows else []
+            if child_delta or below:
                 self._descend(child, child_delta, sig_set, affected, u_row)

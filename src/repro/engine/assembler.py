@@ -20,13 +20,10 @@ successful delta join this update and all components are satisfied.
 """
 from __future__ import annotations
 
+from repro.engine.base import EngineOverflow
 from repro.graph.covering import CoverPath
 from repro.graph.model import QueryPattern
 from repro.relational.relation import Row, View, hash_join
-
-
-class AssemblyOverflow(RuntimeError):
-    """Cross-path join exceeded the configured row cap."""
 
 
 class QueryAssembler:
@@ -40,7 +37,6 @@ class QueryAssembler:
         max_rows: int = 2_000_000,
     ):
         self.q = q
-        self.paths = paths
         self.cached = cached
         self.max_rows = max_rows
 
@@ -83,6 +79,10 @@ class QueryAssembler:
         self.path_comp = [find(i) for i in range(len(paths))]
         self.components = sorted(set(self.path_comp))
         self.comp_satisfied: dict[int, bool] = {c: False for c in self.components}
+        #: per component, its member paths in index order
+        self.members: dict[int, list[int]] = {
+            c: [j for j, cj in enumerate(self.path_comp) if cj == c] for c in self.components
+        }
 
         self._pending: dict[int, list[Row]] = {}
 
@@ -125,13 +125,12 @@ class QueryAssembler:
         delta_success = False
         for pidx, delta in self._pending.items():
             comp = self.path_comp[pidx]
-            if self._component_delta_join(pidx, delta):
+            if self._join(pidx, delta, self.members[comp]):
                 self.comp_satisfied[comp] = True
                 delta_success = True
         self._pending.clear()
         return delta_success and all(self.comp_satisfied.values())
 
-    # ------------------------------------------------------------------
     def full_join_rows(self) -> int:
         """Full (non-delta) cross-path join over all canonical views — the
         final-join work INV and INC perform per affected query (paper §5.1
@@ -139,82 +138,46 @@ class QueryAssembler:
 
         Joins run per variable-connected component (cross-component products
         are not materialized); returns the number of result rows computed.
-        Raises :class:`AssemblyOverflow` past ``max_rows`` — the row-cap
-        analogue of the paper's execution-time threshold.
         """
         total = 0
-        for comp in self.components:
-            members = [j for j in range(len(self.paths)) if self.path_comp[j] == comp]
-            if any(len(self.canon_views[j]) == 0 for j in members):
-                continue  # pruned: some path still unmatched
+        for members in self.members.values():
+            # smallest view first; an empty one prunes the component
             first = min(members, key=lambda j: len(self.canon_views[j]))
-            acc = list(self.canon_views[first].rows)
-            acc_vars = list(self.path_vars[first])
-            remaining = set(members) - {first}
-            while remaining and acc:
-                cands = [
-                    j for j in remaining if any(v in acc_vars for v in self.path_vars[j])
-                ]
-                j = min(cands, key=lambda x: len(self.canon_views[x]))
-                shared = [v for v in self.path_vars[j] if v in acc_vars]
-                probe_key = tuple(acc_vars.index(v) for v in shared)
-                build_key = tuple(self.path_vars[j].index(v) for v in shared)
-                new_cols = tuple(
-                    i for i, v in enumerate(self.path_vars[j]) if v not in acc_vars
-                )
-
-                def emit(pr: Row, br: Row, cols=new_cols) -> Row:
-                    return pr + tuple(br[c] for c in cols)
-
-                acc = hash_join(acc, probe_key, self.canon_views[j], build_key, emit)
-                if len(acc) > self.max_rows:
-                    raise AssemblyOverflow(
-                        f"Q{self.q.qid}: full final join exceeded {self.max_rows} rows"
-                    )
-                acc_vars += [self.path_vars[j][c] for c in new_cols]
-                remaining.discard(j)
-            total += len(acc)
+            total += len(self._join(first, self.canon_views[first].rows, members))
         return total
 
-    def _component_delta_join(self, pidx: int, delta: list[Row]) -> bool:
-        comp = self.path_comp[pidx]
-        others = [
-            j
-            for j in range(len(self.paths))
-            if self.path_comp[j] == comp and j != pidx
-        ]
-        # fast bail: a component partner with no matches yet kills the join
-        if any(len(self.canon_views[j]) == 0 for j in others):
-            return False
-        acc = delta
-        acc_vars = list(self.path_vars[pidx])
-        remaining = set(others)
-        while remaining:
+    def _join(self, start: int, rows: list[Row], members: list[int]) -> list[Row]:
+        """Join ``rows`` (bindings of path ``start``'s variables) with the
+        canonical views of the other ``members`` of its component, always
+        next with the smallest view sharing a variable.  Returns ``[]`` as
+        soon as the result is empty; raises :class:`EngineOverflow` past
+        ``max_rows`` — the row-cap analogue of the paper's execution-time
+        threshold."""
+        views, path_vars = self.canon_views, self.path_vars
+        remaining = [j for j in members if j != start]
+        # fast bail: a partner with no matches yet kills the join
+        if any(len(views[j]) == 0 for j in remaining):
+            return []
+        acc = rows
+        acc_vars = list(path_vars[start])
+        while remaining and acc:
             # next path sharing a variable with the accumulator (exists by
             # construction of components); prefer the smallest view
-            cands = [
-                j
-                for j in remaining
-                if any(v in acc_vars for v in self.path_vars[j])
-            ]
-            j = min(cands, key=lambda x: len(self.canon_views[x]))
-            shared = [v for v in self.path_vars[j] if v in acc_vars]
+            cands = [j for j in remaining if any(v in acc_vars for v in path_vars[j])]
+            j = min(cands, key=lambda x: len(views[x]))
+            shared = [v for v in path_vars[j] if v in acc_vars]
             probe_key = tuple(acc_vars.index(v) for v in shared)
-            build_key = tuple(self.path_vars[j].index(v) for v in shared)
-            new_cols = [
-                i for i, v in enumerate(self.path_vars[j]) if v not in acc_vars
-            ]
+            build_key = tuple(path_vars[j].index(v) for v in shared)
+            new_cols = tuple(i for i, v in enumerate(path_vars[j]) if v not in acc_vars)
 
-            def emit(pr: Row, br: Row, cols=tuple(new_cols)) -> Row:
+            def emit(pr: Row, br: Row, cols=new_cols) -> Row:
                 return pr + tuple(br[c] for c in cols)
 
-            acc = hash_join(acc, probe_key, self.canon_views[j], build_key, emit)
-            if not acc:
-                return False
+            acc = hash_join(acc, probe_key, views[j], build_key, emit)
             if len(acc) > self.max_rows:
-                raise AssemblyOverflow(
+                raise EngineOverflow(
                     f"Q{self.q.qid}: cross-path join exceeded {self.max_rows} rows"
                 )
-            acc_vars += [self.path_vars[j][c] for c in new_cols]
-            remaining.discard(j)
-        return True
+            acc_vars += [path_vars[j][c] for c in new_cols]
+            remaining.remove(j)
+        return acc

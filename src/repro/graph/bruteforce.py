@@ -46,23 +46,21 @@ def is_satisfied(q: QueryPattern, triples: Sequence[Triple]) -> bool:
     return bool(embeddings(q, triples))
 
 
-def first_match_index(q: QueryPattern, stream: Sequence[Triple]) -> Optional[int]:
-    """Earliest update index ``t`` such that ``q`` is satisfied by
-    ``stream[:t+1]`` — i.e. min over embeddings of the latest triple's
-    arrival.  ``None`` if the query never matches.
+def match_times(q: QueryPattern, stream: Sequence[Triple]) -> set[int]:
+    """Update indexes ``t`` at which a new embedding of ``q`` completes,
+    i.e. ``stream[t]`` is the latest-arriving triple of some embedding.
 
     Computed from embeddings over the *final* graph with arrival times, which
-    is equivalent because updates are additions only (monotone).
+    is equivalent because updates are additions only (monotone).  A
+    triple's arrival is its first occurrence, so repeats complete nothing.
     """
-    # arrival time of each distinct triple = its first occurrence
     arrival: dict[Triple, int] = {}
     for i, t in enumerate(stream):
         arrival.setdefault(t, i)
     distinct = list(arrival)
 
-    best: Optional[int] = None
-    # Recompute embeddings but track the max arrival time used; dedup per
-    # step keeping the *earliest* completion time per partial binding.
+    # Recompute embeddings but track the max arrival time used.  A binding
+    # fixes the triple of every edge, so each binding has one time.
     binds: list[tuple[dict[int, str], int]] = [({}, -1)]
     for s_vid, p, o_vid in q.edges:
         nxt: dict[tuple, tuple[dict[int, str], int]] = {}
@@ -79,18 +77,15 @@ def first_match_index(q: QueryPattern, stream: Sequence[Triple]) -> Optional[int
                 nb = dict(b)
                 nb[s_vid] = t.s
                 nb[o_vid] = t.o
-                ntm = max(tm, arrival[t])
-                key = tuple(sorted(nb.items()))
-                if key not in nxt or ntm < nxt[key][1]:
-                    nxt[key] = (nb, ntm)
+                nxt[tuple(sorted(nb.items()))] = (nb, max(tm, arrival[t]))
         binds = list(nxt.values())
         if not binds:
-            return None
-    # same binding can be produced at several times; keep the earliest
-    per_bind: dict[tuple, int] = {}
-    for b, tm in binds:
-        key = tuple(b[v] for v in range(len(q.vertices)))
-        if key not in per_bind or tm < per_bind[key]:
-            per_bind[key] = tm
-    best = min(per_bind.values())
-    return best
+            return set()
+    return {tm for _, tm in binds}
+
+
+def first_match_index(q: QueryPattern, stream: Sequence[Triple]) -> Optional[int]:
+    """Earliest update index ``t`` such that ``q`` is satisfied by
+    ``stream[:t+1]``; ``None`` if the query never matches."""
+    times = match_times(q, stream)
+    return min(times) if times else None

@@ -14,10 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
-#: Generic variable marker used in edge signatures (paper's ``?var``).
-VERTEX_VAR = "?var"
-
-
 @dataclass(frozen=True)
 class Triple:
     """One graph edge / stream update: source label, predicate, target label."""
@@ -60,15 +56,8 @@ class QueryPattern:
     meta: dict = field(default_factory=dict)
 
     # -- structural helpers -------------------------------------------------
-    def n_vertices(self) -> int:
-        return len(self.vertices)
-
     def n_edges(self) -> int:
         return len(self.edges)
-
-    def term(self, vid: int) -> Optional[str]:
-        """Literal label of vertex ``vid`` or ``None`` if it is a variable."""
-        return self.vertices[vid]
 
     def edge_sig(self, eidx: int) -> EdgeSig:
         s, p, o = self.edges[eidx]

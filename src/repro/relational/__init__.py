@@ -2,4 +2,4 @@
 with optionally persistent (cached) hash indexes — the substrate shared by
 TRIC/TRIC+ and the INV/INC baselines (paper §4.2 "Caching")."""
 
-from repro.relational.relation import HashIndex, View, hash_join, probe_join  # noqa: F401
+from repro.relational.relation import HashIndex, View, hash_join  # noqa: F401

@@ -12,10 +12,12 @@ directly onto :class:`HashIndex`:
   ``hash_join`` constructs a throwaway dict over the build side each call;
 * cached (TRIC+/INV+/INC+): views keep :class:`HashIndex` objects that are
   maintained incrementally as tuples arrive, so joins skip the build phase
-  (``probe_join`` against ``view.index(key)``).
+  (``hash_join`` probes ``view.index(key)``).
 
-Join-work counters (`JOIN_BUILD_ROWS`, `JOIN_PROBE_ROWS`) let tests assert
-that caching actually removes build work, not just that it is equivalent.
+:meth:`View.select` (rows with one column equal to a value) makes the same
+choice for a single-key lookup.  Join-work counters (``COUNTERS``) let tests
+assert that caching actually removes build work, not just that it is
+equivalent.
 """
 from __future__ import annotations
 
@@ -101,6 +103,17 @@ class View:
             self._indexes[key_cols] = idx
         return idx
 
+    def select(self, col: int, value) -> list[Row]:
+        """Rows whose column ``col`` equals ``value``: a lookup in the
+        maintained index on cached views, a full scan (counted as build
+        work) on plain ones."""
+        COUNTERS["probe_rows"] += 1
+        idx = self.index((col,))
+        if idx is not None:
+            return idx.get((value,))
+        COUNTERS["build_rows"] += len(self.rows)
+        return [r for r in self.rows if r[col] == value]
+
 
 def _build(rows: list[Row], key_cols: tuple[int, ...]) -> dict[tuple, list[Row]]:
     COUNTERS["build_rows"] += len(rows)
@@ -108,22 +121,6 @@ def _build(rows: list[Row], key_cols: tuple[int, ...]) -> dict[tuple, list[Row]]
     for r in rows:
         table.setdefault(tuple(r[c] for c in key_cols), []).append(r)
     return table
-
-
-def probe_join(
-    probe_rows: list[Row],
-    probe_key: tuple[int, ...],
-    index: HashIndex,
-    emit: Callable[[Row, Row], Row],
-) -> list[Row]:
-    """Probe an already-built (cached) index — no build phase."""
-    out: list[Row] = []
-    COUNTERS["probe_rows"] += len(probe_rows)
-    for pr in probe_rows:
-        for br in index.get(tuple(pr[c] for c in probe_key)):
-            out.append(emit(pr, br))
-    COUNTERS["out_rows"] += len(out)
-    return out
 
 
 def hash_join(
@@ -140,13 +137,12 @@ def hash_join(
     the entire plain-vs-``+`` performance story of the paper.
     """
     idx = build_view.index(build_key)
-    if idx is not None:
-        return probe_join(probe_rows, probe_key, idx, emit)
-    table = _build(build_view.rows, build_key)
-    out: list[Row] = []
+    table = idx.buckets if idx is not None else _build(build_view.rows, build_key)
     COUNTERS["probe_rows"] += len(probe_rows)
-    for pr in probe_rows:
-        for br in table.get(tuple(pr[c] for c in probe_key), ()):
-            out.append(emit(pr, br))
+    out = [
+        emit(pr, br)
+        for pr in probe_rows
+        for br in table.get(tuple(pr[c] for c in probe_key), ())
+    ]
     COUNTERS["out_rows"] += len(out)
     return out

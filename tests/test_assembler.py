@@ -2,7 +2,8 @@
 full final joins."""
 import pytest
 
-from repro.engine.assembler import AssemblyOverflow, QueryAssembler
+from repro.engine.assembler import QueryAssembler
+from repro.engine.base import EngineOverflow
 from repro.graph.covering import covering_paths
 from repro.graph.model import QueryPattern
 
@@ -169,14 +170,14 @@ class TestFullJoin:
         asm.on_path_delta(0, [("m", f"x{i}") for i in range(20)])
         asm.finish_update()
         asm.on_path_delta(1, [("m", f"y{i}") for i in range(20)])
-        with pytest.raises(AssemblyOverflow):
+        with pytest.raises(EngineOverflow):
             asm.finish_update()
 
     def test_full_join_overflow_raises(self):
         asm, _ = make(self.blowup_query(), max_rows=10)
         asm.on_path_delta(0, [("m", f"x{i}") for i in range(20)])
         asm.on_path_delta(1, [("m", f"y{i}") for i in range(20)])
-        with pytest.raises(AssemblyOverflow):
+        with pytest.raises(EngineOverflow):
             asm.finish_update()
-        with pytest.raises(AssemblyOverflow):
+        with pytest.raises(EngineOverflow):
             asm.full_join_rows()

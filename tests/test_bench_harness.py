@@ -1,16 +1,9 @@
 """Benchmark harness: workload builder, sweep runner, memory measurement,
-table formatting."""
+results writer."""
 import json
 import math
 
-from repro.bench.harness import (
-    build_workload,
-    cell,
-    fmt_table,
-    measure_memory,
-    run_algorithms,
-    save_results,
-)
+from repro.bench.harness import build_workload, measure_memory, run_algorithms, save_results
 
 
 class TestBuildWorkload:
@@ -59,16 +52,6 @@ class TestMemory:
 
 
 class TestFormatting:
-    def test_cell_plain_and_timeout(self):
-        assert cell({"avg_ms_per_update": 1.23456, "timed_out": False}) == "1.235"
-        s = cell({"avg_ms_per_update": 9.9, "timed_out": True, "processed": 42})
-        assert s.startswith("9.900*") and "|G_E|=42" in s
-
-    def test_fmt_table_contains_all_cells(self):
-        rows = [{"x": "a", "tric": "1.0"}, {"x": "b", "tric": "2.0"}]
-        out = fmt_table("T", rows, ["x", "tric"])
-        assert "T" in out and "1.0" in out and "2.0" in out
-
     def test_save_results_roundtrip(self, tmp_path):
         p = tmp_path / "sub" / "r.json"
         save_results({"a": 1}, str(p))

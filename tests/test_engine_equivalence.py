@@ -1,12 +1,12 @@
 """All seven engines must agree — with each other and with brute force —
-on the matched query set and the first-match update index, across datasets
-and seeds.  This is the core correctness gate of the reproduction."""
+on the full ``(t, qid)`` event stream, across datasets and seeds.  This is
+the core correctness gate of the reproduction."""
 import pytest
 
 from repro.bench.harness import build_workload
 from repro.engine.base import ALGORITHMS, make_engine
 from repro.engine.runner import index_queries, run_stream
-from repro.graph.bruteforce import first_match_index
+from repro.graph.bruteforce import match_times
 
 
 def run(name, updates, queries):
@@ -17,14 +17,15 @@ def run(name, updates, queries):
 
 @pytest.fixture(scope="module")
 def workloads():
-    """Small deterministic workloads with reference (brute-force) answers."""
+    """Small deterministic workloads with reference (brute-force) answers:
+    per query, the update indexes at which a new embedding completes."""
     out = {}
     for ds in ("snb", "nyc", "biogrid"):
         for seed in (0, 1):
             updates, queries = build_workload(
                 ds, n_updates=160, n_queries=18, avg_len=4, seed=seed
             )
-            bf = {q.qid: first_match_index(q, updates) for q in queries}
+            bf = {q.qid: match_times(q, updates) for q in queries}
             out[(ds, seed)] = (updates, queries, bf)
     return out
 
@@ -36,9 +37,9 @@ class TestAgainstBruteForce:
     def test_matched_set_and_first_match(self, workloads, ds, seed, engine):
         updates, queries, bf = workloads[(ds, seed)]
         r = run(engine, updates, queries)
-        expected_matched = {q for q, t in bf.items() if t is not None}
-        assert r.matched == expected_matched
-        assert r.first_match == {q: t for q, t in bf.items() if t is not None}
+        assert r.events == sorted((t, q) for q, ts in bf.items() for t in ts)
+        assert r.matched == {q for q, ts in bf.items() if ts}
+        assert r.first_match == {q: min(ts) for q, ts in bf.items() if ts}
 
 
 @pytest.mark.parametrize("ds", ["snb", "nyc", "biogrid"])
@@ -60,17 +61,19 @@ def test_selectivity_control_is_exact(workloads, ds):
     match by the end of the stream."""
     updates, queries, bf = workloads[(ds, 0)]
     sat = {q.qid for q in queries if q.meta["satisfiable"]}
-    assert {q for q, t in bf.items() if t is not None} == sat
+    assert {q for q, ts in bf.items() if ts} == sat
 
 
 class TestEdgeCases:
     def test_duplicate_update_is_idempotent(self):
         updates, queries = build_workload("snb", n_updates=120, n_queries=10, seed=5)
         doubled = [u for u in updates for _ in range(2)]
+        expected = sorted((t, q.qid) for q in queries for t in match_times(q, doubled))
         for name in ("tric", "inv", "inc", "graphdb"):
             r1 = run(name, updates, queries)
             r2 = run(name, doubled, queries)
             assert r1.matched == r2.matched, name
+            assert r2.events == expected, name
 
     def test_no_queries_no_events(self):
         updates, _ = build_workload("snb", n_updates=50, n_queries=5, seed=0)
@@ -97,8 +100,9 @@ class TestEdgeCases:
             assert ts == sorted(ts)
 
     def test_engine_factory_rejects_unknown(self):
-        with pytest.raises(ValueError, match="unknown engine"):
-            make_engine("nope")
+        for name in ("nope", "graphdb+", "tric++", "inv+++"):
+            with pytest.raises(ValueError, match="unknown engine"):
+                make_engine(name)
 
     def test_engine_names(self):
         for name in ALGORITHMS:

@@ -7,7 +7,6 @@ from repro.relational.relation import (
     HashIndex,
     View,
     hash_join,
-    probe_join,
     reset_counters,
 )
 
@@ -50,6 +49,16 @@ class TestView:
         v = View(arity=2, cached=True)
         v.add(("a", "b"))
         assert v.index((0,)).get(("a",)) == [("a", "b")]
+
+    @pytest.mark.parametrize("cached", [False, True])
+    def test_select_in_insertion_order(self, cached):
+        v = View(arity=2, cached=cached)
+        v.add_all([("b", "1"), ("a", "2"), ("b", "3")])
+        assert v.select(1, "2") == [("a", "2")]
+        assert v.select(0, "b") == [("b", "1"), ("b", "3")]
+        assert v.select(0, "z") == []
+        # plain views scan every row per select; cached ones never build
+        assert COUNTERS["build_rows"] == (0 if cached else 9)
 
 
 class TestHashIndex:
@@ -103,16 +112,6 @@ class TestHashJoin:
         hash_join([("k1",)], (0,), v, (0,), lambda a, b: a + b)
         hash_join([("k1",)], (0,), v, (0,), lambda a, b: a + b)
         assert COUNTERS["build_rows"] == 0
-
-    def test_probe_join_equals_hash_join(self):
-        rows = [("a", "1"), ("b", "2"), ("a", "3")]
-        v = View(arity=2, cached=True)
-        for r in rows:
-            v.add(r)
-        probe = [("a",), ("b",), ("c",)]
-        got = probe_join(probe, (0,), v.index((0,)), lambda a, b: a + b)
-        ref = hash_join(probe, (0,), v, (0,), lambda a, b: a + b)
-        assert sorted(got) == sorted(ref)
 
     def test_multi_key_join(self):
         v = View(arity=3, cached=False)

@@ -38,9 +38,16 @@ def results(tmp_path_factory):
 
 
 def _first_cells(table: str) -> list[str]:
-    """First cell of each data row of a rendered markdown table (labels
-    such as ``|G_E|=2000`` contain ``|`` but not `` | ``)."""
-    return [ln.split(" | ")[0][2:] for ln in table.splitlines() if ln.startswith("|")][2:]
+    """First cell of each data row of a rendered markdown table, unescaped
+    (labels such as ``|G_E|=2000`` render as ``\\|G_E\\|=2000``).  Every
+    row must have as many cells as the header."""
+    rows = [
+        [c.strip().replace(r"\|", "|") for c in re.split(r"(?<!\\)\|", ln)[1:-1]]
+        for ln in table.splitlines()
+        if ln.startswith("|")
+    ]
+    assert all(len(r) == len(rows[0]) for r in rows), rows
+    return [r[0] for r in rows[2:]]
 
 
 @pytest.mark.parametrize("kind", [ANSWERING, INDEXING, MEMORY])
