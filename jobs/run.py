@@ -6,7 +6,9 @@ scaled-down workload and writes ``results/<artifact>.json`` (x-value ×
 algorithm → answering time per update in ms, with "timeout at |G_E|=X"
 markers; Fig. 15 and Table 1 hold indexing time and memory).  It prints
 that file as the markdown table ``jobs/fill_experiments.py`` puts into
-EXPERIMENTS.md.  Also runnable via ``spark-submit``.
+EXPERIMENTS.md.  An answering artifact fails with ``AssertionError`` if two
+engines emit different ``(t, qid)`` events on the updates both processed.
+Also runnable via ``spark-submit``.
 """
 from __future__ import annotations
 
@@ -30,16 +32,10 @@ def main() -> None:
     p.add_argument("--scale", type=float, default=1.0, help="multiplies |G_E| and |Q_DB|")
     p.add_argument("--time-limit", type=float, default=30.0, help="per-run cap (s)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument(
-        "--verify",
-        action="store_true",
-        help="verify tric+'s first-match events vs the Catalyst ground truth on a "
-        "sample of queries (needs Spark)",
-    )
     args = p.parse_args()
     for name in SWEEPS if "all" in args.artifacts else args.artifacts:
         print(f"\n{'=' * 70}\n== {name}\n{'=' * 70}")
-        run(name, RESULTS_DIR, args.scale, args.seed, args.time_limit, args.verify)
+        run(name, RESULTS_DIR, args.scale, args.seed, args.time_limit)
         print(f"\nresults written to results/{name}.json")
 
 

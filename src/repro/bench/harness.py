@@ -1,5 +1,5 @@
-"""Shared harness of ``repro.bench.sweeps`` (``jobs/run.py``) and the
-pytest benchmarks: workload builder, per-algorithm runner, memory
+"""Harness of ``repro.bench.sweeps`` (``jobs/run.py``): workload builder,
+per-algorithm runner with its cross-engine agreement check, memory
 measurement, and the results writer.  Each evaluation artifact is one
 ``SWEEPS`` entry; its rows (x-value × algorithm → answering time per update
 in ms, with "timeout at |G_E| = X" markers) are dumped as JSON under
@@ -57,12 +57,18 @@ def run_algorithms(
     time_limit_s: Optional[float] = None,
 ) -> dict[str, dict]:
     """Index + stream each algorithm on a fresh engine; returns per-algo
-    metrics (the paper's answering / indexing time and timeout markers)."""
+    metrics (the paper's answering / indexing time and timeout markers).
+
+    Raises ``AssertionError`` unless every engine's ``(t, qid)`` events equal
+    those of the engine that processed the most updates, on the updates
+    both processed (a run cut by the time limit or an overflow is a prefix).
+    """
     out: dict[str, dict] = {}
+    runs: dict[str, RunResult] = {}
     for name in algos:
         engine = make_engine(name)
         idx_s = index_queries(engine, queries)
-        res: RunResult = run_stream(engine, updates, time_limit_s=time_limit_s)
+        res = runs[name] = run_stream(engine, updates, time_limit_s=time_limit_s)
         out[name] = {
             "engine": name,
             "index_s": idx_s,
@@ -74,6 +80,15 @@ def run_algorithms(
             "timeout_reason": res.timeout_reason,
             "n_matched": len(res.matched),
         }
+    ref = max(runs.values(), key=lambda r: r.processed)
+    for name, res in runs.items():
+        expected = [e for e in ref.events if e[0] < res.processed]
+        if res.events != expected:
+            diff = sorted(set(res.events) ^ set(expected))[:5]
+            raise AssertionError(
+                f"{name} and {ref.engine} disagree on updates < {res.processed}: "
+                f"{diff} (first differing events)"
+            )
     return out
 
 

@@ -3,26 +3,22 @@
 ``SWEEPS`` maps each artifact's ``results/<name>.json`` / EXPERIMENTS.md
 marker name to one :class:`Sweep`.  :func:`run` regenerates an artifact's
 results JSON, :func:`render` turns that JSON into the EXPERIMENTS.md table
-(which :func:`run` also prints), and ``benchmarks/bench_sweeps.py`` runs
-each sweep's representative ``bench`` points under pytest-benchmark.
+(which :func:`run` also prints).  Every answering run checks that all
+engines emit the same ``(t, qid)`` events (``harness.run_algorithms``).
 """
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.bench.harness import build_workload, measure_memory, run_algorithms, save_results
 from repro.engine.base import ALGORITHMS, make_engine
-from repro.engine.runner import index_queries, run_stream
+from repro.engine.runner import index_queries
 
 ANSWERING, INDEXING, MEMORY = "answering", "indexing", "memory"
 
 #: the only workload arguments ``--scale`` multiplies
 SCALED = ("n_updates", "n_queries")
-
-#: engines of the knob benches: both TRICs, the strongest baseline, the
-#: graph-DB stand-in
-BENCH_ALGOS = ("tric", "tric+", "inc+", "graphdb")
 
 MIB = 1 << 20
 
@@ -36,9 +32,7 @@ class Sweep:
     batches of ``values[0]`` queries; indexing seconds per batch) or MEMORY
     (Table 1: resident bytes per algorithm × x-value).  ``knob`` is the
     ``build_workload`` argument that takes ``values`` along x, each shown
-    as ``label.format(value)``; ``base`` holds the fixed arguments.  The
-    pytest benchmark runs ``bench_algos`` at each ``knob`` value in
-    ``bench``, on ``base`` updated by ``bench_base``.
+    as ``label.format(value)``; ``base`` holds the fixed arguments.
     """
 
     title: str
@@ -47,9 +41,6 @@ class Sweep:
     values: tuple
     label: str
     base: dict
-    bench: tuple
-    bench_algos: tuple[str, ...] = tuple(ALGORITHMS)
-    bench_base: dict = field(default_factory=lambda: dict(n_updates=1500, n_queries=200))
 
 
 SNB = dict(dataset="snb", n_updates=2000, n_queries=300)
@@ -60,55 +51,46 @@ SWEEPS = {
     # 2000/3000 match the other tables' baseline density.
     "table_snb_answering": Sweep(
         "Fig 13(a) — SNB answering time (ms/update), Q=300, l=5, sigma=25%, o=35%",
-        ANSWERING, "n_updates", (2000, 3000), "|G_E|={}", SNB, bench=(2000,),
+        ANSWERING, "n_updates", (2000, 3000), "|G_E|={}", SNB,
     ),
     "table_snb_selectivity": Sweep(
         "Fig 13(b) — SNB answering time (ms/update) vs selectivity sigma",
         ANSWERING, "selectivity", (0.10, 0.15, 0.20, 0.25, 0.30), "sigma={:.0%}", SNB,
-        bench=(0.10, 0.30), bench_algos=BENCH_ALGOS,
     ),
     "table_snb_qdb": Sweep(
         "Fig 13(c) — SNB answering time (ms/update) vs |Q_DB|",
         ANSWERING, "n_queries", (100, 300, 500), "|Q_DB|={}", SNB,
-        bench=(100, 400), bench_algos=BENCH_ALGOS,
     ),
     "table_snb_qlen": Sweep(
         "Fig 13(d) — SNB answering time (ms/update) vs query size l",
-        ANSWERING, "avg_len", (3, 5, 7, 9), "l={}", SNB, bench=(3, 7), bench_algos=BENCH_ALGOS,
+        ANSWERING, "avg_len", (3, 5, 7, 9), "l={}", SNB,
     ),
-    # overlap is the knob TRIC's trie clustering exploits: its bench pits it
-    # against the other shared-state family, with and without caching
     "table_snb_overlap": Sweep(
         "Fig 13(e) — SNB answering time (ms/update) vs overlap o",
         ANSWERING, "overlap", (0.25, 0.35, 0.45, 0.55, 0.65), "o={:.0%}", SNB,
-        bench=(0.25, 0.65), bench_algos=("tric", "tric+", "inc", "inc+"),
     ),
     # the paper grows |G_E| to 1M/10M under a 24 h cap; we grow the scaled
     # stream under the per-run wall-clock cap
     "table_snb_scale": Sweep(
         "Fig 13(f)+14 — SNB scale-up (ms/update), with timeout markers",
         ANSWERING, "n_updates", (2000, 6000, 12000, 24000), "|G_E|={}", SNB,
-        bench=(8000,), bench_algos=BENCH_ALGOS,
     ),
     "table_indexing": Sweep(
         "Fig 15 — indexing time",
         INDEXING, "n_queries", (100, 200, 300, 400, 500), "|Q_DB|->{}",
-        dict(dataset="snb", n_updates=2000), bench=(500,), bench_base={},
+        dict(dataset="snb", n_updates=2000),
     ),
     "table_nyc": Sweep(
         "Fig 16(a) — NYC answering time (ms/update), with timeout markers",
         ANSWERING, "n_updates", (1000, 3000, 8000), "|G_E|={}", dict(SNB, dataset="nyc"),
-        bench=(2000,),
     ),
     "table_biogrid": Sweep(
         "Fig 16(b,c) — BioGRID answering time (ms/update), with timeout markers",
         ANSWERING, "n_updates", (1000, 3000, 8000), "|G_E|={}", dict(SNB, dataset="biogrid"),
-        bench=(1500,),
     ),
     "table1_memory": Sweep(
         "Table 1 — memory usage (resident MiB)",
         MEMORY, "dataset", ("snb", "nyc", "biogrid"), "{}", dict(n_updates=2000, n_queries=300),
-        bench=("snb",), bench_base=dict(n_updates=1000, n_queries=150),
     ),
 }
 
@@ -124,14 +106,12 @@ def run(
     scale: float = 1.0,
     seed: int = 0,
     time_limit_s: float = 30.0,
-    verify: bool = False,
 ) -> dict:
     """Regenerate artifact ``name``: write ``<out_dir>/<name>.json`` and
-    print its rendered table.  ``verify`` checks each answering workload
-    against the Catalyst ground truth (needs Spark)."""
+    print its rendered table."""
     sw = SWEEPS[name]
     if sw.kind == ANSWERING:
-        payload = _answering(sw, scale, seed, time_limit_s, verify)
+        payload = _answering(sw, scale, seed, time_limit_s)
     else:
         payload = (_indexing if sw.kind == INDEXING else _memory)(sw, scale, seed)
     save_results(payload, os.path.join(out_dir, f"{name}.json"))
@@ -139,13 +119,11 @@ def run(
     return payload
 
 
-def _answering(sw: Sweep, scale: float, seed: int, time_limit_s: float, verify: bool) -> dict:
+def _answering(sw: Sweep, scale: float, seed: int, time_limit_s: float) -> dict:
     configs = []
     for v in sw.values:
         kw = _workload({**sw.base, sw.knob: v}, scale, seed)
         updates, queries = build_workload(**kw)
-        if verify:
-            verify_sample(updates, queries)
         res = run_algorithms(updates, queries, ALGORITHMS, time_limit_s=time_limit_s)
         label = sw.label.format(v)
         configs.append({"label": label, "workload": kw, "results": res})
@@ -177,27 +155,6 @@ def _memory(sw: Sweep, scale: float, seed: int) -> dict:
         algorithms[name] = {x: measure_memory(name, *w) for x, w in workloads.items()}
         print(f"[done] {name}")
     return {"title": sw.title, "algorithms": algorithms}
-
-
-def verify_sample(updates, queries, n_sample: int = 10) -> None:
-    """Check tric+'s first-match map against the Catalyst BGP ground truth."""
-    from pyspark.sql import SparkSession
-
-    from repro.spark_ops.batch_match import first_match_spark
-    from repro.streams.datasets import stream_to_spark
-
-    spark = (
-        SparkSession.builder.appName("repro-verify")
-        .config("spark.sql.autoBroadcastJoinThreshold", -1)
-        .getOrCreate()
-    )
-    sample = queries[:n_sample]
-    engine = make_engine("tric+")
-    index_queries(engine, sample)
-    res = run_stream(engine, updates)
-    truth = first_match_spark(stream_to_spark(spark, updates), sample)
-    assert res.first_match == truth, (res.first_match, truth)
-    print(f"[verify] tric+ first-match equals Catalyst ground truth on {len(sample)} queries")
 
 
 def _md_table(head: list[str], rows: list[list[str]]) -> str:

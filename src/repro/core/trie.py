@@ -4,8 +4,9 @@ Step 2, Figs. 6 & 8).
 Data structures, named as in the paper:
 
 * ``rootInd``  → :attr:`TrieForest.roots`: signature of a first edge → root.
-* ``edgeInd``  → :attr:`TrieForest.edge_ind`: signature → set of tries (roots)
-  that index it somewhere — the entry point of the answering phase.
+* ``edgeInd``  → :attr:`TrieForest.edge_ind`: signature → the tries (roots)
+  that index it somewhere, in creation order — the entry point of the
+  answering phase.
 * ``queryInd`` → :attr:`TrieForest.query_ind`: query id → the trie nodes its
   covering paths were registered under (the "last node" references of Fig. 8).
 
@@ -51,7 +52,7 @@ class TrieForest:
     def __init__(self, cached: bool):
         self.cached = cached
         self.roots: dict[EdgeSig, TrieNode] = {}  # rootInd
-        self.edge_ind: dict[EdgeSig, set[EdgeSig]] = {}  # sig -> root sigs
+        self.edge_ind: dict[EdgeSig, dict[TrieNode, None]] = {}  # sig -> ordered set of roots
         self.query_ind: dict[int, list[TrieNode]] = {}  # queryInd
 
     def insert_path(self, q: QueryPattern, pidx: int, path: CoverPath) -> TrieNode:
@@ -60,10 +61,10 @@ class TrieForest:
         then register the query id at the last node."""
         chain = path.sig_chain(q)
         root_sig = chain[0]
-        node = self.roots.get(root_sig)
-        if node is None:
-            node = self.roots[root_sig] = TrieNode(root_sig, 0, self.cached)
-        self.edge_ind.setdefault(root_sig, set()).add(root_sig)
+        root = self.roots.get(root_sig)
+        if root is None:
+            root = self.roots[root_sig] = TrieNode(root_sig, 0, self.cached)
+        node = root
         ancestors = [node]
         for d, sig in enumerate(chain[1:], start=1):
             child = node.children.get(sig)
@@ -71,7 +72,8 @@ class TrieForest:
                 child = node.children[sig] = TrieNode(sig, d, self.cached)
             node = child
             ancestors.append(node)
-            self.edge_ind.setdefault(sig, set()).add(root_sig)
+        for sig in chain:
+            self.edge_ind.setdefault(sig, {})[root] = None
         for a in ancestors:
             a.subtree_sigs.update(chain[a.depth:])
         node.registered.append((q.qid, pidx))
@@ -79,15 +81,10 @@ class TrieForest:
         return node
 
     def affected_roots(self, sigs: list[EdgeSig]) -> list[TrieNode]:
-        """Tries containing any of the update's signatures (answering Step 1)."""
-        root_sigs: set[EdgeSig] = set()
-        for s in sigs:
-            root_sigs.update(self.edge_ind.get(s, ()))
-        # deterministic order (None-safe: signatures contain None for ?var)
-        return [
-            self.roots[r]
-            for r in sorted(root_sigs, key=lambda x: (x[0], x[1] or "", x[2] or ""))
-        ]
+        """Tries containing any of the update's signatures (answering Step 1),
+        each once.  Their order cannot change any view or event: each trie
+        owns its views, and each covering path is registered at one node."""
+        return list(dict.fromkeys(r for s in sigs for r in self.edge_ind.get(s, ())))
 
     # -- introspection used by tests -----------------------------------
     def n_nodes(self) -> int:

@@ -34,14 +34,6 @@ class RunResult:
     def matched(self) -> set[int]:
         return {q for _, q in self.events}
 
-    @property
-    def first_match(self) -> dict[int, int]:
-        fm: dict[int, int] = {}
-        for t, q in self.events:
-            if q not in fm or t < fm[q]:
-                fm[q] = t
-        return fm
-
 
 def index_queries(engine: Engine, queries: Iterable[QueryPattern]) -> float:
     """Indexing phase; returns elapsed wall-clock seconds (Fig. 15 metric)."""

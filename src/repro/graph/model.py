@@ -12,7 +12,7 @@ separately via per-query vertex ids.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Optional
 
 @dataclass(frozen=True)
 class Triple:
@@ -56,24 +56,9 @@ class QueryPattern:
     meta: dict = field(default_factory=dict)
 
     # -- structural helpers -------------------------------------------------
-    def n_edges(self) -> int:
-        return len(self.edges)
-
     def edge_sig(self, eidx: int) -> EdgeSig:
         s, p, o = self.edges[eidx]
         return (p, self.vertices[s], self.vertices[o])
-
-    def sigs(self) -> list[EdgeSig]:
-        return [self.edge_sig(i) for i in range(len(self.edges))]
-
-    def out_edges(self, vid: int) -> list[int]:
-        return [i for i, (s, _, _) in enumerate(self.edges) if s == vid]
-
-    def in_edges(self, vid: int) -> list[int]:
-        return [i for i, (_, _, o) in enumerate(self.edges) if o == vid]
-
-    def var_vids(self) -> list[int]:
-        return [i for i, t in enumerate(self.vertices) if t is None]
 
     def is_connected(self) -> bool:
         """Weak connectivity of the pattern graph (queries must be connected)."""
@@ -115,14 +100,3 @@ def sig_matches(sig: EdgeSig, u: Triple) -> bool:
     p, s, o = sig
     return p == u.p and (s is None or s == u.s) and (o is None or o == u.o)
 
-
-def triples_from_rows(rows: Iterable[tuple]) -> list[Triple]:
-    """Convert ``(s, p, o)`` or ``(t, s, p, o)`` tuples to :class:`Triple`."""
-    out = []
-    for r in rows:
-        if len(r) == 4:
-            _, s, p, o = r
-        else:
-            s, p, o = r
-        out.append(Triple(str(s), str(p), str(o)))
-    return out

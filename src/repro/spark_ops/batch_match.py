@@ -8,10 +8,9 @@ DuckDB via :func:`repro.oracle.assert_equivalent`.
 
 Output schema: one column ``v{vid}`` per *variable* vertex (distinct
 bindings).  A pattern with no variables yields a single column ``m`` (1 row
-iff satisfied).  ``first_match_spark`` additionally returns, per query, the
-earliest update index at which the query is satisfied —
-``min over embeddings of max(t_i)`` — the ground truth for the engines'
-first-match events.
+iff satisfied).  ``match_events_spark`` returns the sorted ``(t, qid)``
+events — ``t`` is an embedding's latest update index ``max(t_i)`` — the
+ground truth for the engines' full event streams.
 """
 from __future__ import annotations
 
@@ -41,7 +40,8 @@ def spark_bgp_match(triples: DataFrame, q: QueryPattern, with_time: bool = False
 
     With ``with_time=True`` adds ``mt`` = the embedding's latest update index
     (requires a ``t`` column; duplicate triples are collapsed to their first
-    arrival, matching the engines' set semantics).
+    arrival, matching the engines' set semantics).  A binding fixes the
+    triple of every edge, so each row has exactly one ``mt``.
     """
     if with_time:
         base = triples.groupBy("s", "p", "o").agg(F.min("t").alias("t"))
@@ -85,13 +85,7 @@ def spark_bgp_match(triples: DataFrame, q: QueryPattern, with_time: bool = False
     out_cols = [F.col(c).alias(f"v{vid}") for vid, c in sorted(var_col.items())]
     if with_time:
         mt = F.greatest(*[F.col(c) for c in t_cols]) if len(t_cols) > 1 else F.col(t_cols[0])
-        if not out_cols:
-            return acc.select(mt.alias("mt")).groupBy().agg(F.min("mt").alias("mt"))
-        return (
-            acc.select(*out_cols, mt.alias("mt"))
-            .groupBy([f"v{vid}" for vid in sorted(var_col)])
-            .agg(F.min("mt").alias("mt"))
-        )
+        return acc.select(*out_cols, mt.alias("mt"))
     if not out_cols:
         return acc.select(F.lit(1).alias("m")).distinct()
     return acc.select(*out_cols).distinct()
@@ -120,15 +114,11 @@ def bgp_to_sql(q: QueryPattern, table: str = "g") -> str:
     return f"SELECT DISTINCT 1 AS m FROM {froms} WHERE {where}"
 
 
-def first_match_spark(triples: DataFrame, queries: list[QueryPattern]) -> dict[int, int]:
-    """Ground-truth first-match update index per query (absent = never)."""
-    out: dict[int, int] = {}
-    for q in queries:
-        row = (
-            spark_bgp_match(triples, q, with_time=True)
-            .agg(F.min("mt").alias("fm"))
-            .collect()[0]
-        )
-        if row["fm"] is not None:
-            out[q.qid] = int(row["fm"])
-    return out
+def match_events_spark(triples: DataFrame, queries: list[QueryPattern]) -> list[tuple[int, int]]:
+    """Ground-truth ``(t, qid)`` events, sorted: ``qid`` gained a new
+    embedding at update ``t``."""
+    return sorted(
+        (r["mt"], q.qid)
+        for q in queries
+        for r in spark_bgp_match(triples, q, with_time=True).select("mt").distinct().collect()
+    )

@@ -3,7 +3,11 @@ results writer."""
 import json
 import math
 
+import pytest
+
+from repro.bench import harness
 from repro.bench.harness import build_workload, measure_memory, run_algorithms, save_results
+from repro.engine.base import EngineOverflow
 
 
 class TestBuildWorkload:
@@ -34,6 +38,49 @@ class TestRunAlgorithms:
         updates, queries = build_workload("snb", n_updates=400, n_queries=40, seed=0)
         res = run_algorithms(updates, queries, ["inv"], time_limit_s=1e-4)
         assert res["inv"]["timed_out"]
+
+
+def _patch_inv(monkeypatch, process_update):
+    """Make ``run_algorithms`` build an ``inv`` whose ``process_update(u)``
+    is ``process_update(real_process_update, u)``."""
+    real = harness.make_engine
+
+    def make(name):
+        e = real(name)
+        if name == "inv":
+            inner = e.process_update
+            e.process_update = lambda u: process_update(inner, u)
+        return e
+
+    monkeypatch.setattr(harness, "make_engine", make)
+
+
+class TestEnginesAgree:
+    """``run_algorithms`` checks every engine's full ``(t, qid)`` events
+    against the engine that processed the most updates."""
+
+    @pytest.fixture
+    def workload(self):
+        return build_workload("snb", n_updates=80, n_queries=8, seed=0)
+
+    def test_extra_event_raises(self, monkeypatch, workload):
+        updates, queries = workload
+        _patch_inv(monkeypatch, lambda f, u: f(u) + ([99] if u is updates[5] else []))
+        with pytest.raises(AssertionError, match=r"inv and tric disagree.*\(5, 99\)"):
+            run_algorithms(updates, queries, ["tric", "inv"])
+
+    def test_truncated_run_is_checked_on_its_prefix(self, monkeypatch, workload):
+        updates, queries = workload
+
+        def overflow_at_40(f, u):
+            if u is updates[40]:
+                raise EngineOverflow("cap")
+            return f(u)
+
+        _patch_inv(monkeypatch, overflow_at_40)
+        res = run_algorithms(updates, queries, ["inv", "tric"])
+        assert res["inv"]["processed"] == 40 and res["tric"]["processed"] == 80
+        assert res["inv"]["n_matched"] < res["tric"]["n_matched"]
 
 
 class TestMemory:

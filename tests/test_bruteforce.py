@@ -1,6 +1,6 @@
 """Brute-force reference matcher — hand-computed toy cases (the oracle for
 the oracle)."""
-from repro.graph.bruteforce import embeddings, first_match_index, is_satisfied
+from repro.graph.bruteforce import embeddings, match_times
 from repro.graph.model import QueryPattern, Triple
 
 G = [
@@ -38,7 +38,6 @@ class TestEmbeddings:
     def test_no_match(self):
         q = QueryPattern(qid=0, vertices=["zz", None], edges=[(0, "knows", 1)])
         assert embeddings(q, G) == []
-        assert not is_satisfied(q, G)
 
     def test_homomorphism_allows_same_vertex_for_two_vars(self):
         g = [Triple("a", "p", "a")]
@@ -46,22 +45,22 @@ class TestEmbeddings:
         assert embeddings(q, g) == [("a", "a")]
 
 
-class TestFirstMatch:
+class TestMatchTimes:
     def test_last_edge_completes(self):
         q = QueryPattern(
             qid=0, vertices=[None, None, None], edges=[(0, "knows", 1), (1, "knows", 2)]
         )
-        assert first_match_index(q, G) == 1  # completed by update #1
+        assert match_times(q, G) == {1}  # completed by update #1
 
-    def test_never_matched_is_none(self):
+    def test_never_matched_is_empty(self):
         q = QueryPattern(qid=0, vertices=["zz", None], edges=[(0, "knows", 1)])
-        assert first_match_index(q, G) is None
+        assert match_times(q, G) == set()
 
-    def test_earliest_embedding_wins(self):
+    def test_every_embedding_has_its_time(self):
         q = QueryPattern(qid=0, vertices=[None, "p1"], edges=[(0, "likes", 1)])
-        assert first_match_index(q, G) == 2  # a-likes-p1 arrives at t=2
+        assert match_times(q, G) == {2, 3}  # a-likes-p1 at t=2, b-likes-p1 at t=3
 
     def test_duplicate_triples_use_first_arrival(self):
-        g = [Triple("a", "p", "b"), Triple("a", "p", "b")]
+        g = [Triple("a", "p", "b"), Triple("a", "p", "b"), Triple("c", "p", "d")]
         q = QueryPattern(qid=0, vertices=[None, None], edges=[(0, "p", 1)])
-        assert first_match_index(q, g) == 0
+        assert match_times(q, g) == {0, 2}

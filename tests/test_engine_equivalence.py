@@ -39,7 +39,6 @@ class TestAgainstBruteForce:
         r = run(engine, updates, queries)
         assert r.events == sorted((t, q) for q, ts in bf.items() for t in ts)
         assert r.matched == {q for q, ts in bf.items() if ts}
-        assert r.first_match == {q: min(ts) for q, ts in bf.items() if ts}
 
 
 @pytest.mark.parametrize("ds", ["snb", "nyc", "biogrid"])

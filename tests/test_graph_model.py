@@ -5,7 +5,6 @@ from repro.graph.model import (
     QueryPattern,
     Triple,
     sig_matches,
-    triples_from_rows,
     update_sigs,
 )
 
@@ -58,19 +57,6 @@ class TestQueryPattern:
         assert q.edge_sig(0) == ("p1", "a", None)
         assert q.edge_sig(1) == ("p2", None, "b")
 
-    def test_sigs_lists_all_edges(self):
-        q = chain()
-        assert q.sigs() == [q.edge_sig(0), q.edge_sig(1)]
-
-    def test_var_vids(self):
-        assert chain().var_vids() == [1]
-
-    def test_out_in_edges(self):
-        q = chain()
-        assert q.out_edges(0) == [0]
-        assert q.in_edges(2) == [1]
-        assert q.out_edges(2) == []
-
     def test_connected(self):
         assert chain().is_connected()
 
@@ -113,11 +99,3 @@ class TestQueryPattern:
         )
         q.validate()
 
-
-class TestTriplesFromRows:
-    def test_three_and_four_tuples(self):
-        assert triples_from_rows([("a", "p", "b")]) == [Triple("a", "p", "b")]
-        assert triples_from_rows([(7, "a", "p", "b")]) == [Triple("a", "p", "b")]
-
-    def test_coerces_to_str(self):
-        assert triples_from_rows([(1, "p", 2)]) == [Triple("1", "p", "2")]

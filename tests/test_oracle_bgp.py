@@ -9,9 +9,9 @@ compared against.
 import pytest
 
 from repro.bench.harness import build_workload
-from repro.graph.bruteforce import embeddings, first_match_index
+from repro.graph.bruteforce import embeddings, match_times
 from repro.oracle import assert_equivalent
-from repro.spark_ops.batch_match import bgp_to_sql, first_match_spark, spark_bgp_match
+from repro.spark_ops.batch_match import bgp_to_sql, match_events_spark, spark_bgp_match
 from repro.streams.datasets import stream_to_pandas, stream_to_spark
 from repro.streams.querygen import generate_queries
 
@@ -36,21 +36,19 @@ def test_catalyst_matches_bruteforce(snb, qi):
     updates, queries, triples_df = snb
     q = queries[qi]
     rows = spark_bgp_match(triples_df, q).collect()
-    var_vids = sorted(q.var_vids())
+    var_vids = [v for v, term in enumerate(q.vertices) if term is None]
     got = sorted(tuple(r[f"v{v}"] for v in var_vids) for r in rows)
     exp = sorted({tuple(e[v] for v in var_vids) for e in embeddings(q, updates)})
     assert got == exp
 
 
-def test_first_match_spark_equals_bruteforce(snb):
+def test_match_events_spark_equals_bruteforce(snb):
+    """The Catalyst ground truth's full ``(t, qid)`` event list equals the
+    brute-force oracle's, not just each query's first event."""
     updates, queries, triples_df = snb
-    got = first_match_spark(triples_df, queries[:8])
-    exp = {}
-    for q in queries[:8]:
-        fm = first_match_index(q, updates)
-        if fm is not None:
-            exp[q.qid] = fm
-    assert got == exp
+    got = match_events_spark(triples_df, queries[:8])
+    exp = sorted((t, q.qid) for q in queries[:8] for t in match_times(q, updates))
+    assert exp and got == exp
 
 
 class TestHandwrittenPatterns:

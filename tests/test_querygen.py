@@ -1,7 +1,7 @@
 """Query-set generator: shapes, ℓ, σ and o controls (paper §6.1)."""
 import pytest
 
-from repro.graph.bruteforce import is_satisfied
+from repro.graph.bruteforce import embeddings
 from repro.graph.covering import covering_paths
 from repro.streams.datasets import DATASETS
 from repro.streams.querygen import generate_queries
@@ -50,7 +50,7 @@ class TestSelectivityControl:
     def test_satisfiable_flag_is_truthful(self, snb_updates, sigma):
         qs = generate_queries(snb_updates, 16, avg_len=4, selectivity=sigma, seed=2)
         for q in qs:
-            assert is_satisfied(q, snb_updates) == q.meta["satisfiable"], q.qid
+            assert bool(embeddings(q, snb_updates)) == q.meta["satisfiable"], q.qid
 
     def test_sigma_fraction_approx(self, snb_updates):
         qs = generate_queries(snb_updates, 200, selectivity=0.25, seed=0)
@@ -130,4 +130,4 @@ class TestShapes:
         for q in qs:
             q.validate()
         for q in qs:
-            assert is_satisfied(q, updates) == q.meta["satisfiable"]
+            assert bool(embeddings(q, updates)) == q.meta["satisfiable"]

@@ -1,4 +1,4 @@
-"""Stream runner: timing, events, first-match, timeout & overflow handling."""
+"""Stream runner: timing, events, timeout & overflow handling."""
 import time
 
 import pytest
@@ -46,7 +46,6 @@ class TestRunStream:
     def test_matched_and_first_match(self):
         r = run_stream(FakeEngine(matches={2: [7], 5: [7, 8]}), UPDATES)
         assert r.matched == {7, 8}
-        assert r.first_match == {7: 2, 8: 5}
 
     def test_avg_ms(self):
         r = run_stream(FakeEngine(delay_s=0.002), UPDATES)
@@ -86,7 +85,3 @@ class TestRunResult:
     def test_avg_nan_when_nothing_processed(self):
         r = RunResult("x", 0, 0, 0.0, False, "", [])
         assert r.avg_ms_per_update != r.avg_ms_per_update
-
-    def test_first_match_keeps_earliest(self):
-        r = RunResult("x", 5, 5, 1.0, False, "", [(4, 1), (2, 1), (3, 1)])
-        assert r.first_match == {1: 2}

@@ -6,7 +6,7 @@ import pytest
 from repro.bench.harness import build_workload
 from repro.engine.base import make_engine
 from repro.engine.runner import index_queries, run_stream
-from repro.spark_ops.batch_match import first_match_spark
+from repro.spark_ops.batch_match import match_events_spark
 from repro.spark_ops.matcher import match_updates
 from repro.spark_ops.streaming import run_structured_stream
 from repro.streams.datasets import stream_to_pandas, stream_to_spark
@@ -44,11 +44,10 @@ class TestMapInPandasMatcher:
         rows = match_updates(df, queries, "tric+").collect()
         assert sorted((r["t"], r["qid"]) for r in rows) == sorted(offline.events)
 
-    def test_matched_set_equals_catalyst_ground_truth(self, spark, workload, offline):
+    def test_events_equal_catalyst_ground_truth(self, spark, workload, offline):
         updates, queries = workload
         df = stream_to_spark(spark, updates)
-        fm = first_match_spark(df, queries)
-        assert offline.first_match == fm
+        assert offline.events == match_events_spark(df, queries)
 
 
 class TestStructuredStreaming:
