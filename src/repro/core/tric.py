@@ -10,8 +10,12 @@ each is traversed top-down computing *delta* views semi-naively:
 
     Δ(child) = Δ(parent) ⋈ base[child.sig]  ∪  old(parent) ⋈ {u}
 
-(the second term only where the child's signature matches ``u``).  Sub-tries
-with an empty delta and no matching signature below are pruned.  Queries
+(the second term only where the child's signature matches ``u``).  The
+descent enters a node only if it just received a delta, or if ``u``'s
+signatures occur in its subtree *and* its view is non-empty; every other
+sub-trie is pruned.  The second condition is exact because trie views are
+prefix-closed (each child row is a parent row plus one vertex), so below an
+empty view every view is empty and neither term can produce a row.  Queries
 registered at nodes that received deltas are assembled via the shared
 :class:`~repro.engine.assembler.QueryAssembler` (final join across covering
 paths).  ``cached=True`` gives TRIC+: all views keep their hash-join build
@@ -41,13 +45,15 @@ class TricEngine(PathEngine):
 
     # -- answering phase ------------------------------------------------
     def process_update(self, u: Triple) -> list[int]:
-        # base views first: trie deltas join against base *including* u
+        # base views first: trie deltas join against base *including* u.
+        # A repeated edge gains no base view, so no trie is routed to.
         sigs, row = self._insert(u)
         sig_set = set(sigs)
         affected: set[int] = set()
         for root in self.forest.affected_roots(sigs):
             root_delta = root.matv.add_all([row]) if root.sig in sig_set else []
-            self._descend(root, root_delta, sig_set, affected, row)
+            if root_delta or root.matv.rows:
+                self._descend(root, root_delta, sig_set, affected, row)
         return [qid for qid in sorted(affected) if self.assemblers[qid].finish_update()]
 
     def _descend(
@@ -58,6 +64,8 @@ class TricEngine(PathEngine):
         affected: set[int],
         u_row: Row,
     ) -> None:
+        """Propagate ``node``'s delta to its children; ``node``'s view is
+        non-empty (it holds ``delta``, or the descent would have stopped)."""
         if delta and node.registered:
             for qid, pidx in node.registered:
                 self.assemblers[qid].on_path_delta(pidx, delta)
@@ -65,10 +73,6 @@ class TricEngine(PathEngine):
         last = node.depth + 1
         u_s, u_o = u_row
         for child in node.children.values():
-            below = not sig_set.isdisjoint(child.subtree_sigs)
-            # pruning: nothing below can change
-            if not delta and not below:
-                continue
             rows = []
             if delta:
                 rows = hash_join(delta, (last,), self.base[child.sig], (0,), append_object)
@@ -78,5 +82,6 @@ class TricEngine(PathEngine):
                 # (base holds u), so the child view drops them as repeats.
                 rows += [pr + (u_o,) for pr in node.matv.select(last, u_s)]
             child_delta = child.matv.add_all(rows) if rows else []
-            if child_delta or below:
+            # pruning: below an empty view nothing can change (prefix closure)
+            if child_delta or (child.matv.rows and not sig_set.isdisjoint(child.subtree_sigs)):
                 self._descend(child, child_delta, sig_set, affected, u_row)

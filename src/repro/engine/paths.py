@@ -64,10 +64,13 @@ class PathEngine(Engine):
 
     def _insert(self, u: Triple) -> tuple[list[EdgeSig], Row]:
         """Add ``u`` to the base view of every indexed signature it matches,
-        before any path join of this update reads them; returns those
-        signatures and ``u``'s row."""
+        before any path join of this update reads them; returns the
+        signatures whose base view *gained* ``u``, and ``u``'s row.
+
+        A repeated edge gains none, so the family routes, descends and joins
+        nothing for it: the stream is a set of edges.  This is exact per
+        signature because every base view exists from indexing onward."""
         row: Row = (u.s, u.o)
-        sigs = [s for s in update_sigs(u) if s in self.base]
-        for sig in sigs:
-            self.base[sig].add(row)
+        base = self.base
+        sigs = [s for s in update_sigs(u) if s in base and base[s].add(row)]
         return sigs, row

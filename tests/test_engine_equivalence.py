@@ -7,6 +7,15 @@ from repro.bench.harness import build_workload
 from repro.engine.base import ALGORITHMS, make_engine
 from repro.engine.runner import index_queries, run_stream
 from repro.graph.bruteforce import match_times
+from repro.relational.relation import COUNTERS, reset_counters
+
+
+def view_sizes(e):
+    """Row count of every base, trie and assembler view of a path engine."""
+    views = list(e.base.values())
+    views += [n.matv for n in e.forest.all_nodes()] if hasattr(e, "forest") else []
+    views += [v for a in e.assemblers.values() for v in a.canon_views]
+    return [len(v) for v in views]
 
 
 def run(name, updates, queries):
@@ -68,11 +77,27 @@ class TestEdgeCases:
         updates, queries = build_workload("snb", n_updates=120, n_queries=10, seed=5)
         doubled = [u for u in updates for _ in range(2)]
         expected = sorted((t, q.qid) for q in queries for t in match_times(q, doubled))
-        for name in ("tric", "inv", "inc", "graphdb"):
+        for name in ALGORITHMS:
             r1 = run(name, updates, queries)
             r2 = run(name, doubled, queries)
             assert r1.matched == r2.matched, name
             assert r2.events == expected, name
+
+    @pytest.mark.parametrize("name", [a for a in ALGORITHMS if a != "graphdb"])
+    def test_repeated_edge_does_no_work(self, name):
+        """A triple the graph already holds is dropped before any routing,
+        descent or join: no work counter moves and no view grows."""
+        updates, queries = build_workload("snb", n_updates=120, n_queries=10, seed=5)
+        e = make_engine(name)
+        index_queries(e, queries)
+        r = run_stream(e, updates)
+        assert r.events
+        seen = updates[r.events[0][0]]  # an edge that completed a query
+        sizes = view_sizes(e)
+        reset_counters()
+        assert e.process_update(seen) == []
+        assert all(v == 0 for v in COUNTERS.values()), COUNTERS
+        assert view_sizes(e) == sizes
 
     def test_no_queries_no_events(self):
         updates, _ = build_workload("snb", n_updates=50, n_queries=5, seed=0)

@@ -2,7 +2,9 @@
 pruning, and the TRIC+ caching contract."""
 import pytest
 
+from repro.bench.harness import build_workload
 from repro.core.tric import TricEngine
+from repro.engine.runner import index_queries, run_stream
 from repro.graph.model import QueryPattern, Triple
 from repro.relational.relation import COUNTERS, reset_counters
 
@@ -112,10 +114,28 @@ class TestPruning:
     def test_empty_delta_prunes_subtree(self):
         e = TricEngine()
         e.add_query(chain_q(qid=0, preds=("a", "b", "c")))
+        reset_counters()
         # update matches 'b' but no 'a' prefix exists -> no view entries
         e.process_update(Triple("v", "b", "w"))
         nodes = e.forest.all_nodes()
         assert all(len(n.matv) == 0 for n in nodes if n.depth > 0)
+        # the empty 'a' root ends the descent: no lookup touches its view
+        assert COUNTERS["probe_rows"] == 0
+
+    @pytest.mark.parametrize("ds", ["snb", "biogrid"])
+    @pytest.mark.parametrize("cached", [False, True])
+    def test_trie_views_are_prefix_closed(self, ds, cached):
+        """The invariant the empty-view pruning rests on: every child row
+        extends a row of its parent's view by one vertex."""
+        updates, queries = build_workload(ds, n_updates=200, n_queries=20, seed=0)
+        e = TricEngine(cached=cached)
+        index_queries(e, queries)
+        run_stream(e, updates)
+        nodes = e.forest.all_nodes()
+        assert any(n.depth > 0 and len(n.matv) for n in nodes)
+        for node in nodes:
+            for child in node.children.values():
+                assert all(r[:-1] in node.matv for r in child.matv.rows)
 
 
 class TestCachingContract:
